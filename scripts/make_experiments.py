@@ -5,8 +5,7 @@ Usage: python scripts/make_experiments.py [BENCH_results.json ...] > EXPERIMENTS
 Combines the hand-written claims (what the paper predicts, what
 "reproduced" means) with the measured series (tables + fitted scaling
 exponents via repro.analysis).  Input is the JSON written by
-``python -m repro bench-suite`` (pytest-benchmark JSON from older runs
-renders identically); unreadable input produces a one-line error and
+``python -m repro bench-suite``; unreadable input produces a one-line error and
 exit code 2, never a traceback.
 """
 
@@ -44,9 +43,7 @@ python -m repro bench-suite -o BENCH_results.json
 python scripts/make_experiments.py BENCH_results.json > EXPERIMENTS.md
 ```
 
-(`--quick` shrinks the sweeps for a smoke run; `pytest benchmarks/
---benchmark-only --benchmark-json=...` still works and renders
-identically, but needs pytest-benchmark installed.)
+(`--quick` shrinks the sweeps for a smoke run.)
 
 Machine for the recorded numbers: single core of the CI container,
 CPython 3.11.  E2 (Figure 1) is checked bit-for-bit in

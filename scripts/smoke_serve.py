@@ -22,12 +22,12 @@ the guard is inert on the whole serving read path under concurrent
 load — the dynamic counterpart of the static CCY pass.
 
 With ``--pool N`` the script instead smokes the pre-fork pool: it warms
-an arena snapshot, starts ``repro serve --pool-workers N``, and asserts
-the preloaded index serves the very first request from the shared-memory
-copy, concurrent clients agree with the oracle through the router, the
-batch endpoint is position-exact, ``/v1/stats`` aggregates the pool and
-per-worker blocks (including the pool-wide ``guarantee`` verdict), the
-parent's ``/metrics`` serves one *merged* Prometheus exposition whose
+a snapshot, starts ``repro serve --pool-workers N``, and asserts the
+preloaded index serves the very first request from the copy every
+worker inherited through ``fork()``, concurrent clients agree with the
+oracle through the router, the batch endpoint is position-exact,
+``/v1/stats`` aggregates the pool and per-worker blocks (including the
+pool-wide ``guarantee`` verdict), the parent's ``/metrics`` serves one *merged* Prometheus exposition whose
 histogram counts equal the per-worker sums, a traced request comes back
 from ``/v1/traces`` as one stitched cross-process tree (``pool.route``
 over the worker's request span), ``/v1/profile`` returns merged
@@ -101,7 +101,6 @@ def run_pool(workers: int) -> int:
     """The pre-fork leg: warm snapshot, pooled server, concurrent oracle."""
     import tempfile
 
-    from repro.core.config import EngineConfig
     from repro.graphs.generators import FAMILIES
     from repro.persist import cache_path, index_fingerprint, save_index
 
@@ -111,9 +110,8 @@ def run_pool(workers: int) -> int:
     solutions = list(oracle.enumerate())
     spec = family_spec("grid", n, seed=seed)
     with tempfile.TemporaryDirectory(prefix="repro-smoke-pool-") as tmp:
-        warm = build_index(graph, query, config=EngineConfig(layout="arena"))
         fingerprint = index_fingerprint(graph, query)
-        save_index(warm, cache_path(tmp, fingerprint), fingerprint)
+        save_index(oracle, cache_path(tmp, fingerprint), fingerprint)
         proc, url = start_server([
             "--snapshot-dir", tmp,
             "--pool-workers", str(workers),
@@ -201,10 +199,6 @@ def run_pool(workers: int) -> int:
             check(
                 stats["pool"]["preloaded"] == 1,
                 "stats reports the preloaded snapshot",
-            )
-            check(
-                stats["pool"]["shared_arena_bytes"] > 0,
-                "arena re-homed into shared memory before fork",
             )
             check(
                 len(stats["workers"]) == workers,

@@ -18,7 +18,7 @@ Top level::
       "benchmarks": [
         {
           "experiment": "E1",
-          "group": "bench_storing",              # the bench_* file stem
+          "group": "bench_storing",              # the experiment's record group
           "fullname": "benchmarks/bench_storing.py::test_lookup[1024]",
           "name": "test_lookup[1024]",
           "params": {"n": 1024},

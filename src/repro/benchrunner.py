@@ -2,16 +2,17 @@
 
 ``repro bench-suite`` executes the E1-E18 sweeps directly — no
 pytest-benchmark, no plugins — and writes one schema-validated JSON
-document (see :mod:`repro.bench_schema`) that the existing
-:mod:`repro.reporting` pipeline renders into EXPERIMENTS.md unchanged:
-record ``fullname``/``name`` strings mirror the pytest-benchmark ids
-emitted by ``benchmarks/bench_*.py``, so the verdict extraction in
-``scripts/make_experiments.py`` keeps working on suite output.
+document (see :mod:`repro.bench_schema`) that the
+:mod:`repro.reporting` pipeline renders into EXPERIMENTS.md: record
+``fullname``/``name`` strings keep the pytest-benchmark ids of the
+original per-experiment bench files (``benchmarks/bench_storing.py::
+test_lookup[n]``), so the verdict extraction in
+``scripts/make_experiments.py`` reads every results file alike.  This
+runner is the one implementation of the sweeps.
 
 Two profiles:
 
-* ``full`` — the paper-scale sweeps (the same sizes the ``benchmarks/``
-  files use); minutes of wall clock.
+* ``full`` — the paper-scale sweeps; minutes of wall clock.
 * ``quick`` (``--quick``) — shrunk sweeps for CI smoke runs; the scaling
   *shape* is still measurable (largest/smallest n is 4-16x), just noisier.
 
@@ -265,130 +266,80 @@ class BenchSuite:
         import pickle
 
         from repro.metrics.runtime import collect
-        from repro.storage.arena import make_trie_store
         from repro.storage.trie import TrieStore
 
         p = self.profile
         for n in p.trie_sizes:
             probes = _keys(n, 2, p.probes, seed=1)
             cycle = _keys(n, 2, max(p.probes // 4, 16), seed=2)
-            # object-layout results per n, so the arena records can carry
-            # speedup/compaction ratios against the same workload
-            baseline: dict[str, float] = {}
-            for layout, suffix in (("object", ""), ("arena", "_arena")):
-                store = None
-                for k in (1, 2):
-                    keys = _keys(n, k, p.trie_keys)
+            store = None
+            for k in (1, 2):
+                keys = _keys(n, k, p.trie_keys)
 
-                    def build(
-                        n: int = n, k: int = k, keys: list = keys,
-                        layout: str = layout,
-                    ) -> Any:
-                        built = make_trie_store(n, k, 0.5, layout=layout)
-                        for key in keys:
-                            built.insert(key, 0)
-                        return built
+                def build(n: int = n, k: int = k, keys: list = keys) -> Any:
+                    built = TrieStore(n, k, 0.5)
+                    for key in keys:
+                        built.insert(key, 0)
+                    return built
 
-                    stats, store = _timed(build, 1)
-                    snapshot_bytes = len(
-                        pickle.dumps(store, protocol=pickle.HIGHEST_PROTOCOL)
-                    )
-                    extra = {
-                        "registers_per_key": round(
-                            store.registers_used / max(len(store), 1), 1
-                        ),
-                        "snapshot_bytes": snapshot_bytes,
-                    }
-                    if layout == "object":
-                        baseline[f"snapshot[{k}]"] = float(snapshot_bytes)
-                    else:
-                        extra["snapshot_shrink_vs_object"] = round(
-                            baseline[f"snapshot[{k}]"] / snapshot_bytes, 2
-                        )
-                    self.record(
-                        "E1", "bench_storing", f"test_init{suffix}[{k}-{n}]",
-                        {"n": n, "k": k}, stats, extra,
-                    )
-
-                def lookup_batch(store: Any = store, probes: list = probes) -> None:
-                    for probe in probes:
-                        store.lookup(probe)
-
-                stats, _ = _timed(lookup_batch, p.repeats, warmup=True)
-                if layout == "object":
-                    with collect(ops=True) as registry:
-                        lookup_batch()
-                    reads = sum(
-                        count
-                        for qualname, count in registry.op_counts.items()
-                        if ".RegisterFile." in qualname
-                    )
-                else:
-                    # the arena's fused walk reads the payload array directly
-                    # and never calls the counted register API; replay the
-                    # probes through the generic register-at-a-time walk so
-                    # "registers touched per lookup" stays comparable
-                    def counted_batch(
-                        store: Any = store, probes: list = probes
-                    ) -> None:
-                        for probe in probes:
-                            TrieStore._lookup_digits(
-                                store, TrieStore._encode(store, probe)
-                            )
-
-                    with collect(ops=True) as registry:
-                        counted_batch()
-                    reads = sum(
-                        count
-                        for qualname, count in registry.op_counts.items()
-                        if ".ArenaRegisterFile." in qualname
-                    )
+                stats, store = _timed(build, 1)
                 extra = {
+                    "registers_per_key": round(
+                        store.registers_used / max(len(store), 1), 1
+                    ),
+                    "snapshot_bytes": len(
+                        pickle.dumps(store, protocol=pickle.HIGHEST_PROTOCOL)
+                    ),
+                }
+                self.record(
+                    "E1", "bench_storing", f"test_init[{k}-{n}]",
+                    {"n": n, "k": k}, stats, extra,
+                )
+
+            def lookup_batch(store: Any = store, probes: list = probes) -> None:
+                for probe in probes:
+                    store.lookup(probe)
+
+            stats, _ = _timed(lookup_batch, p.repeats, warmup=True)
+            with collect(ops=True) as registry:
+                lookup_batch()
+            reads = sum(
+                count
+                for qualname, count in registry.op_counts.items()
+                if ".RegisterFile." in qualname
+            )
+            self.record(
+                "E1", "bench_storing", f"test_lookup[{n}]", {"n": n}, stats,
+                {
                     "per_lookup_batch": len(probes),
                     "register_ops_per_lookup": round(reads / len(probes), 1),
-                }
-                if layout == "object":
-                    baseline["lookup"] = stats["mean"]
-                else:
-                    extra["speedup_vs_object"] = round(
-                        baseline["lookup"] / stats["mean"], 2
-                    )
-                self.record(
-                    "E1", "bench_storing", f"test_lookup{suffix}[{n}]", {"n": n},
-                    stats, extra,
-                )
+                },
+            )
 
-                def successor_batch(
-                    store: Any = store, probes: list = probes
-                ) -> None:
-                    for probe in probes:
-                        store.successor(probe)
+            def successor_batch(
+                store: Any = store, probes: list = probes
+            ) -> None:
+                for probe in probes:
+                    store.successor(probe)
 
-                stats, _ = _timed(successor_batch, p.repeats, warmup=True)
-                extra = {"per_successor_batch": len(probes)}
-                if layout == "object":
-                    baseline["successor"] = stats["mean"]
-                else:
-                    extra["speedup_vs_object"] = round(
-                        baseline["successor"] / stats["mean"], 2
-                    )
-                self.record(
-                    "E1", "bench_storing", f"test_successor{suffix}[{n}]",
-                    {"n": n}, stats, extra,
-                )
+            stats, _ = _timed(successor_batch, p.repeats, warmup=True)
+            self.record(
+                "E1", "bench_storing", f"test_successor[{n}]", {"n": n},
+                stats, {"per_successor_batch": len(probes)},
+            )
 
-                def updates(store: Any = store, cycle: list = cycle) -> None:
-                    for key in cycle:
-                        store.insert(key, 1)
-                    for key in cycle:
-                        if key in store:
-                            store.remove(key)
+            def updates(store: Any = store, cycle: list = cycle) -> None:
+                for key in cycle:
+                    store.insert(key, 1)
+                for key in cycle:
+                    if key in store:
+                        store.remove(key)
 
-                stats, _ = _timed(updates, p.repeats, warmup=True)
-                self.record(
-                    "E1", "bench_storing", f"test_update_cycle{suffix}[{n}]",
-                    {"n": n}, stats, {"cycle": len(cycle)},
-                )
+            stats, _ = _timed(updates, p.repeats, warmup=True)
+            self.record(
+                "E1", "bench_storing", f"test_update_cycle[{n}]", {"n": n},
+                stats, {"cycle": len(cycle)},
+            )
 
     # -- E3: constant-time distance queries ----------------------------
 
@@ -856,11 +807,11 @@ class BenchSuite:
     # -- E16: pre-fork pool serving (throughput / latency / sharing) ----
 
     def run_e16(self) -> None:
-        """Pooled serving: throughput scaling, tail latency, page sharing.
+        """Pooled serving: throughput scaling and tail latency.
 
         Spawns real ``repro serve`` subprocesses against one pre-warmed
-        arena snapshot: a single-process baseline, then pre-fork pools of
-        1/2/4 workers (``--shards`` at 2x).  Three gated claims ride on
+        snapshot: a single-process baseline, then pre-fork pools of
+        1/2/4 workers (``--shards`` at 2x).  Two gated claims ride on
         the records:
 
         * ``speedup_over_floor`` — pooled throughput must clear a
@@ -868,11 +819,7 @@ class BenchSuite:
           only ask the router hop to cost less than 55%);
         * ``p99_headroom`` — open-loop p99 per-answer delay must stay
           within a watchdog-style budget (the watchdog's own multiple
-          over its self-calibrated median);
-        * ``pss_over_rss`` — the kernel's smaps accounting on the named
-          ``memfd:repro-arena`` mappings must show the workers sharing
-          pages (proportional-set size well below resident-set size),
-          i.e. the register file is mapped, not copied.
+          over its self-calibrated median).
         """
         if not hasattr(os, "fork"):
             self.log("  E16 skipped: os.fork unavailable on this platform")
@@ -883,7 +830,6 @@ class BenchSuite:
         import subprocess
         import tempfile
 
-        from repro.core.config import EngineConfig
         from repro.core.engine import build_index
         from repro.graphs.generators import FAMILIES
         from repro.persist import cache_path, index_fingerprint, save_index
@@ -902,7 +848,7 @@ class BenchSuite:
         # (NOT self.graph(): _make_graph and FAMILIES differ, and the
         # snapshot fingerprint must match the server's request key)
         graph = FAMILIES["grid"](n, seed=seed)
-        index = build_index(graph, _QUERY, config=EngineConfig(layout="arena"))
+        index = build_index(graph, _QUERY)
         fingerprint = index_fingerprint(graph, _QUERY)
 
         spec = {"family": "grid", "n": n, "seed": seed, "query": _QUERY}
@@ -1039,7 +985,6 @@ class BenchSuite:
                     )
                     if w == pool_sizes[-1]:
                         self._e16_latency(host, port, bodies, batch, aps, quick)
-                        self._e16_shared_arena(host, port, w)
                 finally:
                     stop_server(proc)
 
@@ -1098,46 +1043,6 @@ class BenchSuite:
                 "p99_headroom": round(allowed / max(p99, 1e-9), 3),
                 "late_sends": res.late_sends,
                 "errors": res.errors,
-            },
-        )
-
-    def _e16_shared_arena(self, host: str, port: int, workers: int) -> None:
-        """The kernel's own page accounting for the shared arena mappings.
-
-        Every worker pre-faults the ``memfd:repro-arena`` mapping at
-        startup, so smaps ``Pss`` (each page divided by its mapper count)
-        far below ``Rss`` is direct evidence the pool shares one physical
-        copy.  Zeros (non-Linux, object layout) record as unavailable.
-        """
-        import http.client
-
-        conn = http.client.HTTPConnection(host, port, timeout=30.0)
-        try:
-            conn.request("GET", "/v1/stats")
-            payload = json.loads(conn.getresponse().read().decode("utf-8"))
-        finally:
-            conn.close()
-        rss = pss = maps = mapped_workers = 0
-        for entry in payload.get("workers", []):
-            arena = (entry.get("worker") or {}).get("arena_maps") or {}
-            if arena.get("maps"):
-                mapped_workers += 1
-            maps += int(arena.get("maps", 0))
-            rss += int(arena.get("rss_kb", 0))
-            pss += int(arena.get("pss_kb", 0))
-        shared_bytes = int(payload.get("pool", {}).get("shared_arena_bytes", 0))
-        self.record(
-            "E16", "bench_serving", f"test_pool_shared_arena[{workers}]",
-            {"n": workers},
-            _stats([max(rss, 1) * 1e-6]),  # pseudo-timing: rss in "seconds"
-            {
-                "shared_arena_bytes": shared_bytes,
-                "workers_mapped": mapped_workers,
-                "arena_maps": maps,
-                "rss_kb_total": rss,
-                "pss_kb_total": pss,
-                "pss_over_rss": round(pss / rss, 3) if rss else 0.0,
-                "smaps_available": rss > 0,
             },
         )
 
@@ -1382,22 +1287,15 @@ class GateRule:
     claim: str
     #: when set, every point must be >= this value (a bound, not a shape)
     floor: float | None = None
-    #: when set, every point must be <= this value
-    ceiling: float | None = None
     #: when set, the fitted log-log exponent must stay at or below this —
     #: a *sublinearity* claim rather than an O(1) one, so it is a shape
     #: rule (needs two distinct sizes) with its own threshold
     exponent_ceiling: float | None = None
     #: fewest points for the rule to apply; shape (exponent/flatness)
     #: checks always need two distinct sizes on top of this, while
-    #: floor/ceiling rules are meaningful from a single point
+    #: floor rules are meaningful from a single point
     min_points: int = 2
 
-
-#: smaps Pss/Rss ceiling on the shared arena mappings: with every page
-#: mapped by the parent plus >= 1 worker the true ratio is <= 0.5; the
-#: slack absorbs smaps' per-mapping kB rounding on small arenas.
-POOL_SHARE_MAX = 0.6
 
 #: E18: profiled enumerate-page throughput must stay within 5% of baseline.
 PROFILER_OVERHEAD_MIN = 0.95
@@ -1408,14 +1306,6 @@ GATE_RULES = (
              "Theorem 3.1: O(1) trie lookups"),
     GateRule("E1", "bench_storing", "test_lookup[", "extra:register_ops_per_lookup",
              "Theorem 3.1: flat register ops per lookup"),
-    GateRule("E1", "bench_storing", "test_lookup_arena[", "time",
-             "Theorem 3.1: O(1) trie lookups (arena layout)"),
-    GateRule("E1", "bench_storing", "test_lookup_arena[",
-             "extra:register_ops_per_lookup",
-             "Theorem 3.1: flat register ops per lookup (arena layout)"),
-    GateRule("E1", "bench_storing", "test_lookup_arena[",
-             "extra:speedup_vs_object",
-             "Arena layout: lookup throughput beats the object layout"),
     GateRule("E3", "bench_distance", "test_query[", "time",
              "Proposition 4.2: O(1) distance tests"),
     GateRule("E7", "bench_next_solution", "test_next_solution[", "time",
@@ -1436,10 +1326,6 @@ GATE_RULES = (
              "Pool serving: open-loop p99 per-answer delay within the "
              "watchdog budget",
              floor=1.0, min_points=1),
-    GateRule("E16", "bench_serving", "test_pool_shared_arena[",
-             "extra:pss_over_rss",
-             "Pool serving: arena pages mmap-shared across workers, not copied",
-             ceiling=POOL_SHARE_MAX, min_points=1),
     GateRule("E17", "bench_updates", "test_update_repair[", "time",
              "Section 6: ball-local edge-update repair cost sublinear in |G|",
              exponent_ceiling=0.9),
@@ -1466,10 +1352,6 @@ DEFAULT_GATE_FLATNESS = 3.0
 OPS_GATE_FLATNESS = 2.0
 #: The warm path must beat cold preprocessing by at least this factor.
 WARM_SPEEDUP_MIN = 5.0
-#: Arena lookups must beat the object layout by at least this factor.
-#: (Full-profile sizes measure ~2x; the floor leaves room for CI noise on
-#: the tiny quick-profile tries.)
-ARENA_SPEEDUP_MIN = 1.2
 
 
 def check_gate(
@@ -1482,7 +1364,7 @@ def check_gate(
     Returns one verdict dict per applicable rule: ``{rule, series,
     points, exponent, flatness, passed}``.  Shape rules (exponent and
     flatness) need at least two points at distinct sizes and are skipped
-    otherwise; floor/ceiling rules apply from ``rule.min_points`` up —
+    otherwise; floor rules apply from ``rule.min_points`` up —
     they bound every point, so a single measurement already decides them.
     """
     verdicts: list[dict[str, Any]] = []
@@ -1509,8 +1391,7 @@ def check_gate(
             ):
                 points.append((n, float(value)))
         points.sort()
-        bounded = rule.floor is not None or rule.ceiling is not None
-        if bounded:
+        if rule.floor is not None:
             if len(points) < rule.min_points:
                 continue
         elif len(points) < 2 or len({n for n, _ in points}) < 2:
@@ -1524,8 +1405,6 @@ def check_gate(
         spread = flatness(ys) if min(ys) > 0 else math.inf
         if rule.floor is not None:
             passed = min(ys) >= rule.floor
-        elif rule.ceiling is not None:
-            passed = max(ys) <= rule.ceiling
         elif rule.exponent_ceiling is not None:
             # sublinearity is a pure shape claim: no flatness escape hatch
             passed = exponent <= rule.exponent_ceiling
@@ -1534,9 +1413,6 @@ def check_gate(
         elif rule.metric == "extra:warm_speedup_vs_cold":
             # a floor, not a flatness check: every point must clear 5x
             passed = min(ys) >= WARM_SPEEDUP_MIN
-        elif rule.metric == "extra:speedup_vs_object":
-            # also a floor: the flat arena must stay ahead at every size
-            passed = min(ys) >= ARENA_SPEEDUP_MIN
         else:
             passed = exponent <= exponent_threshold or spread <= flatness_slack
         verdicts.append(

@@ -161,8 +161,7 @@ class NextSolutionIndex:
                 return
             if self.k == 1:
                 self._unary = UnaryIndex(
-                    graph, phi, self.free_order[0], eps=config.eps,
-                    layout=config.layout,
+                    graph, phi, self.free_order[0], eps=config.eps
                 )
                 return
             self.last = LastCoordinateIndex(
@@ -181,7 +180,6 @@ class NextSolutionIndex:
                     self.free_order[0],
                     eps=config.eps,
                     solutions=solutions,
-                    layout=config.layout,
                 )
             elif decomposition is not None:
                 # a synthetic (relaxed) decomposition has no formula to project:

@@ -58,7 +58,6 @@ class SkipPointers:
         kernels: Sequence[Collection[int]],
         k: int,
         eps: float = 0.5,
-        layout: str | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
@@ -84,7 +83,7 @@ class SkipPointers:
         # the stored pointers: key (b, sorted bag ids padded with sentinel)
         self._sentinel = self.num_bags  # one past the largest bag id
         universe = max(n, self._sentinel + 1)
-        self._store = StoredFunction(universe, k + 1, eps=eps, layout=layout)
+        self._store = StoredFunction(universe, k + 1, eps=eps)
         with _trace_span("skip_pointers.build", n=n, bags=self.num_bags):
             self._precompute()
 

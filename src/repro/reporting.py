@@ -1,12 +1,11 @@
 """Benchmark reporting: turn benchmark JSON into experiment tables.
 
-``python -m repro bench-suite`` (or, historically, ``pytest benchmarks/
---benchmark-only --benchmark-json=...``) produces a machine-readable
-record; :func:`render_report` groups it by experiment (one group per
-``bench_*`` file), sorts each group by the swept parameter, and emits
-the markdown tables EXPERIMENTS.md embeds.  Both producers share the
-``benchmarks[*].fullname/name/stats/extra_info`` layout, so one renderer
-serves both.
+``python -m repro bench-suite`` produces a machine-readable record;
+:func:`render_report` groups it by experiment (one group per
+``bench_*`` record group), sorts each group by the swept parameter, and
+emits the markdown tables EXPERIMENTS.md embeds.  The records keep
+pytest-benchmark's ``benchmarks[*].fullname/name/stats/extra_info``
+layout, so older pytest-benchmark JSON renders the same way.
 
 Malformed input — a missing file, an empty/truncated write, or invalid
 JSON — raises :exc:`ReportError`; the CLI turns that into a one-line

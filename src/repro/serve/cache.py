@@ -153,8 +153,12 @@ class IndexCache:
         free_order: Sequence[Var | str] | None = None,
         method: str = "auto",
         graph_digest_hint: str | None = None,
+        key: str | None = None,
     ) -> tuple[QueryIndex, str]:
         """The warm index for this request, plus how it was obtained.
+
+        ``key`` is the request's :meth:`fingerprint` when the caller has
+        already computed it; otherwise it is computed here.
 
         Returns ``(index, status)`` with status one of ``"hit"``
         (live in the LRU), ``"joined"`` (shared another request's
@@ -164,7 +168,8 @@ class IndexCache:
         an undecomposable query), :class:`BuildWaitTimeout`, or
         :class:`TooManyBuilds`.
         """
-        key = self.fingerprint(graph, query, free_order, method, graph_digest_hint)
+        if key is None:
+            key = self.fingerprint(graph, query, free_order, method, graph_digest_hint)
         with _trace_span("cache.get", fingerprint=key[:12]) as sp:
             index, status = self._get(key, graph, query, free_order, method)
             if sp is not None:
@@ -288,11 +293,10 @@ class IndexCache:
     def seed(self, key: str, index: QueryIndex) -> None:
         """Publish a pre-built index under ``key`` (pool pre-fork warmup).
 
-        The pool parent loads snapshots and re-homes their arena buffers
-        into shared memory *before* forking, then seeds them here so every
-        worker starts with the index already warm — status ``"hit"`` on
-        the first request.  Seeding counts as a snapshot load in the stats
-        since that is what it replaced.
+        The pool parent loads snapshots *before* forking, then seeds them
+        here so every worker starts with the index already warm — status
+        ``"hit"`` on the first request.  Seeding counts as a snapshot load
+        in the stats since that is what it replaced.
         """
         with self._lock:
             self._insert(key, index)

@@ -1,16 +1,15 @@
-"""Pre-fork sharded serving: N worker processes, one mmap-shared arena.
+"""Pre-fork sharded serving: N worker processes over one preloaded cache.
 
 CPython's GIL caps the single-process server at one core no matter how
 many connection threads it runs — the constant-delay guarantee survives,
 aggregate throughput does not.  :class:`PoolServer` takes the classic
 pre-fork shape instead:
 
-* the **parent** builds one :class:`~repro.serve.service.QueryService`,
-  preloads every ``.rpx`` snapshot from the cache directory and re-homes
-  their arena buffers into shared ``memfd`` mappings
-  (:func:`repro.storage.shared.share_index`) *before* forking — so the
-  multi-megabyte register files exist once in physical memory no matter
-  how many workers serve them;
+* the **parent** builds one :class:`~repro.serve.service.QueryService`
+  and preloads every ``.rpx`` snapshot from the cache directory into its
+  LRU *before* forking — so every worker inherits the warm indexes
+  through ``fork()``'s copy-on-write pages instead of loading them
+  itself;
 * each **worker** is a fork that inherits a pre-bound loopback socket
   and runs the ordinary threaded HTTP server
   (:func:`repro.serve.http.build_handler`) against the pre-seeded,
@@ -67,7 +66,6 @@ from repro.serve.http import (
     read_request_body,
 )
 from repro.serve.service import QueryService, ServeError
-from repro.storage.shared import SharedArena, share_index, shared_map_stats
 from repro.trace.buffer import DEFAULT_CAPACITY, TraceBuffer
 from repro.trace.logging import log_event
 from repro.trace.profiler import DEFAULT_HZ, MAX_PROFILE_SECONDS, merge_profiles
@@ -246,8 +244,6 @@ class PoolServer:
         self.preload = preload
         self.worker_setup = worker_setup
         self.preloaded: list[str] = []
-        self.arenas: list[SharedArena] = []
-        self.shared_bytes = 0
         self._links: list[_WorkerLink] = []
         self._by_pid: dict[int, _WorkerLink] = {}
         self._lock = threading.Lock()
@@ -266,7 +262,7 @@ class PoolServer:
         return self._public_sock.getsockname()[:2]
 
     def start(self) -> None:
-        """Bind, preload + share snapshots, fork workers, start the monitor."""
+        """Bind, preload snapshots, fork workers, start the monitor."""
         self._public_sock = socket.create_server(
             (self.host, self.port), backlog=128
         )
@@ -296,7 +292,6 @@ class PoolServer:
             workers=self.workers,
             shards=self.shards,
             preloaded=len(self.preloaded),
-            shared_arena_bytes=self.shared_bytes,
             port=self.address[1],
         )
 
@@ -343,21 +338,17 @@ class PoolServer:
         for link in self._links:
             link.drain_conns()
             link.sock.close()
-        for arena in self.arenas:
-            arena.close()
 
     # -- pre-fork warmup ----------------------------------------------------
 
     def _preload_snapshots(self) -> None:
-        """Load every snapshot once, re-home its arenas into shared memory,
-        and seed the LRU — all before ``fork()``, so workers share pages.
+        """Load every snapshot once and seed the LRU — all before
+        ``fork()``, so every worker inherits the loaded indexes.
 
         Every worker gets every preloaded index: the router's key routes
         *requests*, but a snapshot's fingerprint is not computable from a
         request without loading the graph, so pinning snapshots to single
         workers could strand a request on a worker without its index.
-        Sharing makes that correct *and* cheap — the arena pages are
-        mapped, not copied, no matter how many workers touch them.
         """
         directory = self.service.cache.snapshot_dir
         if directory is None or not directory.is_dir():
@@ -370,10 +361,6 @@ class PoolServer:
             except (SnapshotError, KeyError) as exc:
                 logger.warning("preload skipped %s: %s", path.name, exc)
                 continue
-            arena = share_index(index, tag=fingerprint[:8])
-            if arena is not None:
-                self.arenas.append(arena)
-                self.shared_bytes += arena.nbytes
             cache = self.service.cache
             cache.max_entries = max(
                 cache.max_entries, len(self.preloaded) + 1 + _PRELOAD_SLACK
@@ -384,8 +371,6 @@ class PoolServer:
             logger,
             "preloaded snapshots",
             count=len(self.preloaded),
-            shared_arena_bytes=self.shared_bytes,
-            arenas=len(self.arenas),
         )
 
     # -- worker side --------------------------------------------------------
@@ -428,8 +413,6 @@ class PoolServer:
             pass
         wid = link.wid
         owned = tuple(s for s in range(self.shards) if s % self.workers == wid)
-        for arena in self.arenas:
-            arena.touch_pages()  # pre-fault: first request never page-faults
         self.service.worker_stats_fn = lambda: _worker_stats(wid, owned)
         if self.worker_setup is not None:
             self.worker_setup(wid)
@@ -553,7 +536,6 @@ class PoolServer:
             "respawns": respawns,
             "worker_pids": live,
             "preloaded": len(self.preloaded),
-            "shared_arena_bytes": self.shared_bytes,
             "uptime_seconds": (
                 None
                 if self._started_at is None
@@ -793,7 +775,6 @@ def _worker_stats(wid: int, owned_shards: tuple[int, ...]) -> dict[str, Any]:
         "pid": os.getpid(),
         "shards": list(owned_shards),
         "rss_kb": _rss_kb(),
-        "arena_maps": shared_map_stats(),
     }
 
 

@@ -30,7 +30,7 @@ import json
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.contracts import guarded_by
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
@@ -81,6 +81,15 @@ class StaleCursor(ServeError):
 
     exit_code = 2
     http_status = 409
+
+
+class _Request(NamedTuple):
+    """A request resolved once: graph, query, method and cache key."""
+
+    graph: ColoredGraph
+    phi: Formula
+    method: str
+    key: str  # the static fingerprint: LRU key and snapshot name
 
 
 @guarded_by("_lock", "_entries")
@@ -302,17 +311,17 @@ class QueryService:
         invalid edge (absent on delete, present or self-loop on insert,
         out-of-range endpoint) is a 400.
         """
-        graph, digest, phi, method = self._resolve_request(payload)
+        request = self._resolve_request(payload)
         op = payload.get("op")
         if op not in ("insert", "delete"):
             raise BadRequest(f"'op' must be 'insert' or 'delete', got {op!r}")
         edge = _require_tuple(payload, "edge", 2)
-        updated, status, key = self._apply_update(graph, digest, phi, method, op, edge)
+        updated, status = self._apply_update(request, op, edge)
         meta = {
             "status": status,
             "method": updated.method,
             "arity": updated.arity,
-            "fingerprint": key[:12],
+            "fingerprint": request.key[:12],
             "index_version": updated.version,
         }
         return {
@@ -336,8 +345,8 @@ class QueryService:
         invalid edge mid-batch fails the batch after the earlier updates
         have been applied — batches are not transactions.
         """
-        index, meta = self._index_for(payload)
-        graph, digest, phi, method = self._resolve_request(payload)
+        request = self._resolve_request(payload)
+        index, meta = self._warm_index(request)
         calls = payload.get("calls")
         if not isinstance(calls, list) or not calls:
             raise BadRequest("'calls' must be a non-empty list of call objects")
@@ -373,9 +382,8 @@ class QueryService:
                 found = index.next_solution(_require_tuple(call, "tuple", index.arity))
                 results.append(None if found is None else list(found))
             else:
-                index, _, _ = self._apply_update(
-                    graph, digest, phi, method,
-                    call["action"], _require_tuple(call, "edge", 2),
+                index, _ = self._apply_update(
+                    request, call["action"], _require_tuple(call, "edge", 2)
                 )
                 results.append(
                     {"applied": call["action"], "version": index.version}
@@ -437,23 +445,22 @@ class QueryService:
         except ParseError as exc:
             raise BadRequest(f"bad query: {exc}") from None
 
-    def _resolve_request(
-        self, payload: dict[str, Any]
-    ) -> tuple[ColoredGraph, str, Formula, str]:
-        """The request's graph (+ digest), parsed query, and method."""
+    def _resolve_request(self, payload: dict[str, Any]) -> _Request:
+        """The request's graph, parsed query, method and cache key."""
         graph, digest = self.graphs.resolve(payload)
         phi = self._parse_query(payload)
         method = payload.get("method", "auto")
         if method not in _METHODS:
             raise BadRequest(f"unknown method {method!r}; choose from {_METHODS}")
-        return graph, digest, phi, method
+        key = self.cache.fingerprint(graph, phi, method=method, graph_digest_hint=digest)
+        return _Request(graph, phi, method, key)
 
-    def _cached_index(
-        self, graph: ColoredGraph, digest: str, phi: Formula, method: str
-    ) -> tuple[QueryIndex, str]:
+    def _cached_index(self, request: _Request) -> tuple[QueryIndex, str]:
         """The warm index, with build failures mapped to typed errors."""
         try:
-            return self.cache.get(graph, phi, method=method, graph_digest_hint=digest)
+            return self.cache.get(
+                request.graph, request.phi, method=request.method, key=request.key
+            )
         except DecompositionError as exc:
             raise BadRequest(f"query is not decomposable: {exc}") from None
         except BuildWaitTimeout as exc:
@@ -464,34 +471,29 @@ class QueryService:
     def _index_for(
         self, payload: dict[str, Any]
     ) -> tuple[QueryIndex, dict[str, Any]]:
-        """Resolve graph + query to a warm index and response metadata.
+        """Resolve graph + query to a warm index and response metadata."""
+        return self._warm_index(self._resolve_request(payload))
+
+    def _warm_index(self, request: _Request) -> tuple[QueryIndex, dict[str, Any]]:
+        """The warm index for a resolved request, plus response metadata.
 
         The ``index`` meta is the consistent response envelope: every
         endpoint that touches an index reports its (abridged) static
         fingerprint and current ``index_version`` alongside the result.
         """
-        graph, digest, phi, method = self._resolve_request(payload)
-        index, status = self._cached_index(graph, digest, phi, method)
+        index, status = self._cached_index(request)
         meta = {
             "status": status,
             "method": index.method,
             "arity": index.arity,
-            "fingerprint": self.cache.fingerprint(
-                graph, phi, method=method, graph_digest_hint=digest
-            )[:12],
+            "fingerprint": request.key[:12],
             "index_version": index.version,
         }
         return index, meta
 
     def _apply_update(
-        self,
-        graph: ColoredGraph,
-        digest: str,
-        phi: Formula,
-        method: str,
-        action: str,
-        edge: tuple[int, ...],
-    ) -> tuple[QueryIndex, str, str]:
+        self, request: _Request, action: str, edge: tuple[int, ...]
+    ) -> tuple[QueryIndex, str]:
         """Repair the warm index one generation forward and republish it.
 
         Serialized under ``_update_lock``: the *current* generation is
@@ -500,9 +502,8 @@ class QueryService:
         the cache (and its snapshot), keyed by the static fingerprint.
         """
         u, v = edge
-        key = self.cache.fingerprint(graph, phi, method=method, graph_digest_hint=digest)
         with self._update_lock:
-            index, status = self._cached_index(graph, digest, phi, method)
+            index, status = self._cached_index(request)
             try:
                 updated = (
                     index.insert_edge(u, v)
@@ -511,8 +512,8 @@ class QueryService:
                 )
             except (ValueError, IndexError) as exc:
                 raise BadRequest(f"cannot {action} edge {list(edge)}: {exc}") from None
-            self.cache.replace(key, updated)
-        return updated, status, key
+            self.cache.replace(request.key, updated)
+        return updated, status
 
 
 def _require_int(

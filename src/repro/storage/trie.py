@@ -84,14 +84,9 @@ class TrieStore:
             self.h += 1
         self.depth = k * self.h  # number of branching levels
         with _trace_span("trie.create", n=n, k=k, d=self.d, h=self.h):
-            self.registers = self._make_registers()
+            self.registers = RegisterFile()
             self._root = self._new_node(parent_cell=None)
             self._size = 0
-
-    @builds
-    def _make_registers(self) -> RegisterFile:
-        """The backing register file; the arena layout overrides this."""
-        return RegisterFile()
 
     # ------------------------------------------------------------------
     # encoding (Algorithm 1, "Decomposition")

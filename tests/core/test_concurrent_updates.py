@@ -8,8 +8,7 @@ while the main thread applies a chain of updates under the paranoid
 freeze tripwire (``repro serve --paranoid``'s guard): any stray write to
 a frozen register by the repair would raise ``FrozenWriteError`` inside
 the update, and any cross-generation leak would show up as a reader
-disagreement.  Both storage layouts are exercised explicitly — the
-arena's flat register files are the layout most sensitive to aliasing.
+disagreement.
 """
 
 from __future__ import annotations
@@ -18,10 +17,7 @@ import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
 from repro.contracts.effects import freeze
-from repro.core.config import EngineConfig
 from repro.core.engine import build_index
 from repro.graphs.generators import random_planar_like_graph
 
@@ -50,11 +46,9 @@ def _edits(graph, count, seed):
     return edits
 
 
-@pytest.mark.parametrize("layout", ["object", "arena"])
-def test_readers_stable_while_updates_in_flight(layout):
+def test_readers_stable_while_updates_in_flight():
     graph = random_planar_like_graph(48, seed=9)
-    config = EngineConfig(layout=layout)
-    index = build_index(graph, QUERY, config=config)
+    index = build_index(graph, QUERY)
 
     before = list(index.enumerate())
     rng = random.Random(4242)
@@ -99,6 +93,6 @@ def test_readers_stable_while_updates_in_flight(layout):
     assert list(index.enumerate()) == before
     # ... and the new generation is exactly what a rebuild would produce
     assert updated.version == UPDATES
-    rebuilt = build_index(updated.graph, QUERY, config=config)
+    rebuilt = build_index(updated.graph, QUERY)
     assert updated.registers() == rebuilt.registers()
     assert list(updated.enumerate()) == list(rebuilt.enumerate())

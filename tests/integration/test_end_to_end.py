@@ -97,3 +97,16 @@ def test_single_vertex_graph():
     g = ColoredGraph(1, colors={"Red": [0]})
     index = build_index(g, "Red(x) & Red(y)")
     assert list(index.enumerate()) == [(0, 0)]
+
+
+def test_answers_invariant_under_knobs():
+    """The EngineConfig thresholds change cost, never answers."""
+    graph = random_planar_like_graph(160, seed=1)
+    reference = None
+    for threshold in (8, 64, 500):
+        config = EngineConfig(bag_naive_threshold=threshold, dist_naive_threshold=16)
+        solutions = list(build_index(graph, "dist(x, y) > 2 & Blue(y)", config=config).enumerate())
+        if reference is None:
+            reference = solutions
+        assert solutions == reference
+    assert reference

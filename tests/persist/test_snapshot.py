@@ -10,6 +10,7 @@ rebuilds, and still answers correctly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 
@@ -161,6 +162,34 @@ def test_load_or_build_rebuilds_corrupted_snapshot(tmp_path, caplog):
     assert list(rebuilt.enumerate()) == expected
     assert any("snapshot rejected" in record.message for record in caplog.records)
     # the replacement snapshot is valid again
+    _, status = load_or_build(graph, query, cache_dir=tmp_path)
+    assert status == "hit"
+
+
+def test_v3_arena_snapshot_is_refused_and_rebuilt(tmp_path, caplog):
+    """Format 3 could pickle flat-arena tries; format 4 must never unpickle
+    one — the header's version refuses it and the cache rebuilds."""
+    graph = grid(7, 7, seed=1)
+    query = "E(x, y)"
+    index, _ = load_or_build(graph, query, cache_dir=tmp_path)
+    expected = list(index.enumerate())
+    path = cache_path(tmp_path, index_fingerprint(graph, query))
+    # a payload naming the removed arena register file: unpickling it fails
+    payload = b"crepro.storage.arena\nArenaRegisterFile\n)\x81."
+    header = read_header(path)
+    header.update(
+        format_version=3,
+        payload_sha256=hashlib.sha256(payload).hexdigest(),
+        payload_bytes=len(payload),
+    )
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    with pytest.raises(SnapshotVersionMismatch):
+        load_index(path)
+    with caplog.at_level(logging.WARNING, logger="repro.persist"):
+        rebuilt, status = load_or_build(graph, query, cache_dir=tmp_path)
+    assert status == "rebuilt"
+    assert list(rebuilt.enumerate()) == expected
+    assert read_header(path)["format_version"] == FORMAT_VERSION
     _, status = load_or_build(graph, query, cache_dir=tmp_path)
     assert status == "hit"
 

@@ -71,6 +71,35 @@ def test_batch_resolves_index_once(client, spec):
     assert client.stats()["cache"]["hits"] == before + 1
 
 
+def test_batch_resolves_graph_and_fingerprint_once(spec):
+    """One /v1/batch resolves its graph spec and fingerprints it once."""
+    service = QueryService()
+    counts = {"resolve": 0, "fingerprint": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    service.graphs.resolve = counting("resolve", service.graphs.resolve)
+    service.cache.fingerprint = counting("fingerprint", service.cache.fingerprint)
+    server = create_server(service, port=0)
+    host, port = server.server_address[:2]
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        ServiceClient(f"http://{host}:{port}", timeout=30.0).batch(
+            spec, QUERY, [("test", (0, 1)), ("next", (0, 0))]
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert counts == {"resolve": 1, "fingerprint": 1}
+
+
 def test_batch_rejects_empty_calls(client, spec):
     with pytest.raises(ServiceClientError) as err:
         client.batch(spec, QUERY, [])

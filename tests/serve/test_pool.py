@@ -11,7 +11,6 @@ import urllib.request
 
 import pytest
 
-from repro.core.config import EngineConfig
 from repro.core.engine import build_index
 from repro.graphs.generators import FAMILIES
 from repro.persist import cache_path, index_fingerprint, save_index
@@ -94,7 +93,7 @@ def pool():
 
     with tempfile.TemporaryDirectory(prefix="repro-pool-test-") as tmp:
         graph = FAMILIES["grid"](N, seed=SEED)
-        index = build_index(graph, QUERY, config=EngineConfig(layout="arena"))
+        index = build_index(graph, QUERY)
         fingerprint = index_fingerprint(graph, QUERY)
         save_index(index, cache_path(tmp, fingerprint), fingerprint)
 
@@ -157,7 +156,6 @@ def test_pool_stats_aggregate(pool, pool_client):
     assert stats["pool"]["workers"] == 2
     assert stats["pool"]["shards"] == 4
     assert stats["pool"]["preloaded"] == 1
-    assert stats["pool"]["shared_arena_bytes"] > 0
     workers = stats["workers"]
     assert len(workers) == 2
     owned = sorted(tuple(w["worker"]["shards"]) for w in workers)

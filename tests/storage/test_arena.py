@@ -1,202 +1,22 @@
-"""Differential and property tests for the flat-arena storage engine.
+"""Differential test of the register trie's construction paths.
 
-The arena layout's contract is *register-level identity* with the object
-layout: after any op sequence the two register files hold the same
-``(delta, payload)`` cells in the same order, so every Theorem 3.1
-answer (lookup, successor, predecessor, iteration order) matches
-bit-for-bit.  These tests hold both layouts to that — against each other
-and against the obvious dict + sorted-list model — and pin down the
-arena-specific machinery: payload tag encoding, side-table interning and
-refcounts, compressed snapshots, and the layout-selection knob.
+A trie edited op by op, its pickle round-trip copy and a fresh trie
+bulk-loaded with the same final contents are three independent routes to
+one key set.  They must give the same Theorem 3.1 answers (lookup,
+successor, predecessor, iteration order) as each other and as the
+obvious dict + sorted-list model.  The copy must also hold the same
+register cells as the original.
 """
 
 from __future__ import annotations
 
 import bisect
-import gc
 import pickle
-import random
-import weakref
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.arena import (
-    DEFAULT_LAYOUT,
-    LAYOUT_ENV_VAR,
-    LAYOUTS,
-    ArenaRegisterFile,
-    ArenaTrieStore,
-    make_trie_store,
-    resolve_layout,
-)
-from repro.storage.function_store import StoredFunction
-from repro.storage.registers import CHILD, GAP, PARENT, RegisterFile
 from repro.storage.trie import HIT, MISS, TrieStore
-
-
-class _Token:
-    """Weakref-able payload for the release-last leak regressions."""
-
-
-# ----------------------------------------------------------------------
-# layout selection
-
-
-def test_resolve_layout_defaults_and_env(monkeypatch):
-    monkeypatch.delenv(LAYOUT_ENV_VAR, raising=False)
-    assert resolve_layout() == DEFAULT_LAYOUT
-    assert resolve_layout("auto") == DEFAULT_LAYOUT
-    assert resolve_layout("arena") == "arena"
-    monkeypatch.setenv(LAYOUT_ENV_VAR, "arena")
-    assert resolve_layout() == "arena"
-    assert resolve_layout("auto") == "arena"
-    # an explicit layout beats the environment
-    assert resolve_layout("object") == "object"
-
-
-def test_resolve_layout_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown storage layout"):
-        resolve_layout("rowwise")
-
-
-def test_make_trie_store_picks_the_layout():
-    assert type(make_trie_store(16, 1, 0.5, layout="object")) is TrieStore
-    assert isinstance(make_trie_store(16, 1, 0.5, layout="arena"), ArenaTrieStore)
-
-
-# ----------------------------------------------------------------------
-# the register file: drop-in parity with the object layout
-
-
-def test_register_file_parity_on_a_mixed_op_sequence():
-    files = (RegisterFile(), ArenaRegisterFile())
-    for registers in files:
-        base = registers.allocate(5)
-        registers.write(base, CHILD, 42)
-        registers.write(base + 1, GAP, (1, 2))
-        registers.write(base + 2, GAP, None)
-        registers.write(base + 3, CHILD, None)
-        registers.write(base + 4, PARENT, base)
-        second = registers.allocate(3)
-        registers.write(second, CHILD, "payload")
-        registers.write(second + 1, GAP, (1, 2))
-        registers.write(second + 2, PARENT, None)
-        registers.release_last(3)
-    obj, arena = files
-    assert arena.dump() == obj.dump()
-    assert arena.next_free == obj.next_free
-    assert arena.used == obj.used
-
-
-def test_payload_encoding_edge_cases():
-    registers = ArenaRegisterFile()
-    base = registers.allocate(5)
-    big = 1 << 70  # beyond the inline-integer range: interned
-    registers.write(base, CHILD, big)
-    registers.write(base + 1, CHILD, -big)
-    unhashable = [1, 2]
-    registers.write(base + 2, CHILD, unhashable)
-    registers.write(base + 3, CHILD, True)
-    registers.write(base + 4, CHILD, None)
-    assert registers.read(base) == (CHILD, big)
-    assert registers.read(base + 1) == (CHILD, -big)
-    assert registers.read(base + 2)[1] is unhashable
-    assert registers.read(base + 3)[1] is True  # bool stays bool, not int
-    assert registers.read(base + 4) == (CHILD, None)
-    registers.check_intern_invariants(registers.used)
-
-
-def test_gap_successors_are_interned_once():
-    registers = ArenaRegisterFile()
-    base = registers.allocate(4)
-    for i in range(4):
-        registers.write(base + i, GAP, (7, 7))
-    assert registers._objects.count((7, 7)) == 1
-    registers.check_intern_invariants(registers.used)
-    for i in range(4):
-        registers.write(base + i, GAP, (8, 8))
-    registers.check_intern_invariants(registers.used)
-    assert (7, 7) not in registers._objects  # fully released, slot reused
-    assert registers._objects.count((8, 8)) == 1
-
-
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_release_last_does_not_leak_payloads(layout):
-    registers = RegisterFile() if layout == "object" else ArenaRegisterFile()
-    token = _Token()
-    ref = weakref.ref(token)
-    base = registers.allocate(2)
-    registers.write(base, CHILD, token)
-    registers.write(base + 1, GAP, (3,))
-    registers.release_last(2)
-    assert registers.next_free == base
-    del token
-    gc.collect()
-    assert ref() is None, "released register kept its payload alive"
-
-
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_remove_releases_stored_values(layout):
-    store = make_trie_store(16, 2, 0.5, layout=layout)
-    token = _Token()
-    ref = weakref.ref(token)
-    store.insert((3, 4), token)
-    store.insert((5, 6), 0)
-    store.remove((3, 4))
-    store.check_invariants()
-    del token
-    gc.collect()
-    assert ref() is None, "removed key kept its value alive"
-
-
-# ----------------------------------------------------------------------
-# degenerate trie parameters (the n=1 / eps=1.0 / k=1 bugfix)
-
-
-@pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize(
-    "n,k,eps",
-    [(1, 1, 0.5), (1, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 2, 1.0)],
-)
-def test_degenerate_parameters(layout, n, k, eps):
-    store = make_trie_store(n, k, eps, layout=layout)
-    assert store.d >= 2  # the normalized branching factor
-    keys = sorted({tuple((i + j) % n for j in range(k)) for i in range(n + 1)})
-    for key in keys:
-        store.insert(key, sum(key))
-    store.check_invariants()
-    assert list(store.keys()) == keys
-    for key in keys:
-        assert store.lookup(key) == (HIT, sum(key))
-    assert store.successor(keys[0]) == keys[0]
-    assert store.successor(keys[-1], strict=True) is None
-    assert store.predecessor(keys[-1], strict=False) == keys[-1]
-    for key in keys:
-        store.remove(key)
-    store.check_invariants()
-    assert len(store) == 0
-
-
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_validation_parity_on_bad_keys(layout):
-    store = make_trie_store(9, 2, 0.5, layout=layout)
-    store.insert((1, 2), 5)
-    for bad_arity in [(), (1,), (1, 2, 3)]:
-        with pytest.raises(ValueError):
-            store.lookup(bad_arity)
-    for bad in [(9, 0), (0, 9), (0, -1), (-1, 0)]:
-        with pytest.raises(ValueError):
-            store.lookup(bad)
-        with pytest.raises(ValueError):
-            store.successor(bad)
-        with pytest.raises(ValueError):
-            store.successor(bad, strict=True)
-
-
-# ----------------------------------------------------------------------
-# the differential property suite: arena vs object vs the model
 
 
 def keys_strategy(n: int, k: int):
@@ -223,129 +43,43 @@ def scenario(draw):
 @settings(max_examples=100, deadline=None)
 def test_layouts_match_each_other_and_the_model(case):
     n, k, eps, ops, probes = case
-    obj = make_trie_store(n, k, eps, layout="object")
-    arena = make_trie_store(n, k, eps, layout="arena")
+    edited = TrieStore(n, k, eps)
     model: dict[tuple[int, ...], int] = {}
     for op, key in ops:
         if op == "add":
-            obj.insert(key, sum(key))
-            arena.insert(key, sum(key))
+            edited.insert(key, sum(key))
             model[key] = sum(key)
         elif key in model:
-            obj.remove(key)
-            arena.remove(key)
+            edited.remove(key)
             del model[key]
-        obj.check_invariants()
-        arena.check_invariants()
-    # register-level identity: same cells, same order, same accounting
-    assert arena.registers.dump() == obj.registers.dump()
-    assert arena.registers_used == obj.registers_used
+        edited.check_invariants()
+    clone = pickle.loads(pickle.dumps(edited))
+    clone.check_invariants()
+    bulk = TrieStore(n, k, eps)
+    assert bulk.bulk_load(model.items()) == len(model)
+    bulk.check_invariants()
+    # register-level identity of the copy: same cells, same accounting
+    assert clone.registers.dump() == edited.registers.dump()
+    assert clone.registers_used == edited.registers_used
     ordered = sorted(model)
-    assert list(arena.keys()) == list(obj.keys()) == ordered
-    assert len(arena) == len(obj) == len(model)
+    stores = (edited, clone, bulk)
+    for store in stores:
+        assert list(store.keys()) == ordered
+        assert len(store) == len(model)
     for probe in probes:
-        assert arena.lookup(probe) == obj.lookup(probe)
-        status, payload = arena.lookup(probe)
+        status, payload = edited.lookup(probe)
         if probe in model:
             assert (status, payload) == (HIT, model[probe])
         else:
             index = bisect.bisect_right(ordered, probe)
             expected = ordered[index] if index < len(ordered) else None
             assert (status, payload) == (MISS, expected)
-        for strict in (False, True):
-            assert arena.successor(probe, strict=strict) == obj.successor(
-                probe, strict=strict
-            )
-            assert arena.predecessor(probe, strict=strict) == obj.predecessor(
-                probe, strict=strict
-            )
-
-
-# ----------------------------------------------------------------------
-# bulk loading and snapshots
-
-
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_bulk_load_matches_sorted_incremental_inserts(layout):
-    rng = random.Random(5)
-    keys = sorted({tuple(rng.randrange(27) for _ in range(2)) for _ in range(60)})
-    pairs = [(key, i) for i, key in enumerate(keys)]
-    bulk = make_trie_store(27, 2, 1 / 3, layout=layout)
-    assert bulk.bulk_load(pairs) == len(pairs)
-    bulk.check_invariants()
-    incremental = make_trie_store(27, 2, 1 / 3, layout=layout)
-    for key, value in pairs:
-        incremental.insert(key, value)
-    assert bulk.registers.dump() == incremental.registers.dump()
-    assert list(bulk.keys()) == list(incremental.keys())
-
-
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_pickle_round_trip(layout):
-    store = make_trie_store(27, 2, 1 / 3, layout=layout)
-    for i in range(40):
-        store.insert((i % 27, (i * 7) % 27), i)
-    clone = pickle.loads(pickle.dumps(store))
-    clone.check_invariants()
-    assert clone.registers.dump() == store.registers.dump()
-    assert list(clone.keys()) == list(store.keys())
-    # the loaded store stays updatable
-    clone.insert((26, 26), "post-load")
-    assert clone.lookup((26, 26)) == (HIT, "post-load")
-
-
-def test_arena_snapshot_is_smaller_than_object():
-    snapshots = {}
-    for layout in LAYOUTS:
-        store = make_trie_store(256, 2, 0.5, layout=layout)
-        for i in range(300):
-            store.insert(((i * 17) % 256, (i * 31) % 256), True)
-        snapshots[layout] = pickle.dumps(store, protocol=pickle.HIGHEST_PROTOCOL)
-    assert len(snapshots["arena"]) < len(snapshots["object"])
-
-
-def test_arena_nbytes_reports_the_flat_buffers():
-    store = make_trie_store(64, 2, 0.5, layout="arena")
-    for i in range(32):
-        store.insert((i, i), i)
-    # 1 delta byte + 8 payload bytes per allocated register
-    assert store.arena_nbytes >= 9 * store.registers_used
-
-
-# ----------------------------------------------------------------------
-# one level up: StoredFunction and the query engine
-
-
-def test_stored_function_layouts_agree():
-    items = [((3, 4), "a"), ((1, 2), "b"), ((5, 5), None), ((1, 2), "b2")]
-    funcs = {
-        layout: StoredFunction(9, 2, eps=0.5, items=items, layout=layout)
-        for layout in LAYOUTS
-    }
-    for layout, fn in funcs.items():
-        assert fn.layout == layout
-    obj, arena = funcs["object"], funcs["arena"]
-    assert list(arena.items()) == list(obj.items())
-    for probe in [(0, 0), (1, 2), (3, 4), (5, 5), (8, 8)]:
-        assert arena.get(probe) == obj.get(probe)
-        assert (probe in arena) == (probe in obj)
-        assert arena.successor(probe) == obj.successor(probe)
-        assert arena.predecessor(probe) == obj.predecessor(probe)
-
-
-def test_engine_layouts_enumerate_identically():
-    from repro.core.config import EngineConfig
-    from repro.core.engine import build_index
-    from repro.graphs.generators import grid
-
-    graph = grid(5, 5, seed=3)
-    results = {}
-    for layout in LAYOUTS:
-        index = build_index(
-            graph,
-            "dist(x, y) > 2 & Blue(y)",
-            config=EngineConfig(layout=layout),
-        )
-        results[layout] = (list(index.enumerate()), index.count())
-    assert results["arena"] == results["object"]
-    assert results["arena"][1] > 0
+        for store in stores[1:]:
+            assert store.lookup(probe) == (status, payload)
+            for strict in (False, True):
+                assert store.successor(probe, strict=strict) == edited.successor(
+                    probe, strict=strict
+                )
+                assert store.predecessor(
+                    probe, strict=strict
+                ) == edited.predecessor(probe, strict=strict)

@@ -1,6 +1,13 @@
 """Unit tests for the register file (the RAM model of Section 3)."""
 
+import gc
+import weakref
+
 from repro.storage.registers import CHILD, GAP, PARENT, RegisterFile
+
+
+class _Token:
+    """Weakref-able payload for the release-last leak regression."""
 
 
 def test_initial_state():
@@ -53,6 +60,20 @@ def test_release_last_clears_freed_cells():
     registers.write(base + 1, GAP, (1,))
     registers.release_last(2)
     assert registers.dump(base, base + 2) == [(GAP, None), (GAP, None)]
+
+
+def test_release_last_does_not_leak_payloads():
+    registers = RegisterFile()
+    token = _Token()
+    ref = weakref.ref(token)
+    base = registers.allocate(2)
+    registers.write(base, CHILD, token)
+    registers.write(base + 1, GAP, (3,))
+    registers.release_last(2)
+    assert registers.next_free == base
+    del token
+    gc.collect()
+    assert ref() is None, "released register kept its payload alive"
 
 
 def test_dump_reflects_used_registers():

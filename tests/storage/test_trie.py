@@ -1,8 +1,17 @@
 """Unit tests for the Storing Theorem trie (Theorem 3.1)."""
 
+import gc
+import pickle
+import random
+import weakref
+
 import pytest
 
 from repro.storage.trie import HIT, MISS, TrieStore
+
+
+class _Token:
+    """Weakref-able stored value for the removal leak regression."""
 
 
 def make_store(n=27, k=1, eps=1 / 3):
@@ -190,3 +199,81 @@ class TestSpace:
         domain = len(store)
         bound = 4 * (store.d + 1) * store.h * domain + store.d + 2
         assert store.registers_used <= bound
+
+
+def test_remove_releases_stored_values():
+    store = TrieStore(16, 2, 0.5)
+    token = _Token()
+    ref = weakref.ref(token)
+    store.insert((3, 4), token)
+    store.insert((5, 6), 0)
+    store.remove((3, 4))
+    store.check_invariants()
+    del token
+    gc.collect()
+    assert ref() is None, "removed key kept its value alive"
+
+
+@pytest.mark.parametrize(
+    "n,k,eps",
+    [(1, 1, 0.5), (1, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 2, 1.0)],
+)
+def test_degenerate_parameters(n, k, eps):
+    store = TrieStore(n, k, eps)
+    assert store.d >= 2  # the normalized branching factor
+    keys = sorted({tuple((i + j) % n for j in range(k)) for i in range(n + 1)})
+    for key in keys:
+        store.insert(key, sum(key))
+    store.check_invariants()
+    assert list(store.keys()) == keys
+    for key in keys:
+        assert store.lookup(key) == (HIT, sum(key))
+    assert store.successor(keys[0]) == keys[0]
+    assert store.successor(keys[-1], strict=True) is None
+    assert store.predecessor(keys[-1], strict=False) == keys[-1]
+    for key in keys:
+        store.remove(key)
+    store.check_invariants()
+    assert len(store) == 0
+
+
+def test_validation_on_bad_keys():
+    store = TrieStore(9, 2, 0.5)
+    store.insert((1, 2), 5)
+    for bad_arity in [(), (1,), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            store.lookup(bad_arity)
+    for bad in [(9, 0), (0, 9), (0, -1), (-1, 0)]:
+        with pytest.raises(ValueError):
+            store.lookup(bad)
+        with pytest.raises(ValueError):
+            store.successor(bad)
+        with pytest.raises(ValueError):
+            store.successor(bad, strict=True)
+
+
+def test_bulk_load_matches_sorted_incremental_inserts():
+    rng = random.Random(5)
+    keys = sorted({tuple(rng.randrange(27) for _ in range(2)) for _ in range(60)})
+    pairs = [(key, i) for i, key in enumerate(keys)]
+    bulk = TrieStore(27, 2, 1 / 3)
+    assert bulk.bulk_load(pairs) == len(pairs)
+    bulk.check_invariants()
+    incremental = TrieStore(27, 2, 1 / 3)
+    for key, value in pairs:
+        incremental.insert(key, value)
+    assert bulk.registers.dump() == incremental.registers.dump()
+    assert list(bulk.keys()) == list(incremental.keys())
+
+
+def test_pickle_round_trip():
+    store = TrieStore(27, 2, 1 / 3)
+    for i in range(40):
+        store.insert((i % 27, (i * 7) % 27), i)
+    clone = pickle.loads(pickle.dumps(store))
+    clone.check_invariants()
+    assert clone.registers.dump() == store.registers.dump()
+    assert list(clone.keys()) == list(store.keys())
+    # the loaded store stays updatable
+    clone.insert((26, 26), "post-load")
+    assert clone.lookup((26, 26)) == (HIT, "post-load")

@@ -23,9 +23,9 @@ def keys_strategy(n: int, k: int):
 
 @st.composite
 def scenario(draw):
-    n = draw(st.sampled_from([4, 9, 16, 27, 50]))
+    n = draw(st.sampled_from([1, 2, 4, 9, 16, 27, 50]))
     k = draw(st.sampled_from([1, 2, 3]))
-    eps = draw(st.sampled_from([0.3, 0.5, 0.9]))
+    eps = draw(st.sampled_from([0.3, 0.5, 0.9, 1.0]))
     ops = draw(
         st.lists(
             st.tuples(st.sampled_from(["add", "del"]), keys_strategy(n, k)),
@@ -50,22 +50,26 @@ def test_trie_matches_model(case):
         elif key in model:
             store.remove(key)
             del model[key]
-    store.check_invariants()
+        store.check_invariants()
     ordered = sorted(model)
     assert list(store.keys()) == ordered
     assert len(store) == len(model)
     for probe in probes:
+        above = bisect.bisect_right(ordered, probe)
+        successor = ordered[above] if above < len(ordered) else None
+        below = bisect.bisect_left(ordered, probe)
+        predecessor = ordered[below - 1] if below > 0 else None
         status, payload = store.lookup(probe)
         if probe in model:
             assert (status, payload) == (HIT, model[probe])
+            assert store.successor(probe) == probe
+            assert store.predecessor(probe, strict=False) == probe
         else:
-            index = bisect.bisect_right(ordered, probe)
-            expected = ordered[index] if index < len(ordered) else None
-            assert (status, payload) == (MISS, expected)
-        # strict successor
-        index = bisect.bisect_right(ordered, probe)
-        expected = ordered[index] if index < len(ordered) else None
-        assert store.successor(probe, strict=True) == expected
+            assert (status, payload) == (MISS, successor)
+            assert store.successor(probe) == successor
+            assert store.predecessor(probe, strict=False) == predecessor
+        assert store.successor(probe, strict=True) == successor
+        assert store.predecessor(probe) == predecessor
 
 
 @given(scenario())

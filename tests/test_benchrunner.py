@@ -52,28 +52,19 @@ def test_run_suite_e1_schema_and_naming():
     assert f"test_lookup[{TINY.trie_sizes[0]}]" in names
     assert f"test_init[1-{TINY.trie_sizes[0]}]" in names
     assert f"test_init[2-{TINY.trie_sizes[1]}]" in names
-    # the arena layout runs the same sweep under suffixed names
-    assert f"test_lookup_arena[{TINY.trie_sizes[0]}]" in names
-    assert f"test_init_arena[1-{TINY.trie_sizes[0]}]" in names
-    assert f"test_successor_arena[{TINY.trie_sizes[1]}]" in names
-    assert f"test_update_cycle_arena[{TINY.trie_sizes[0]}]" in names
-    arena_lookups = [
+    assert f"test_successor[{TINY.trie_sizes[1]}]" in names
+    assert f"test_update_cycle[{TINY.trie_sizes[0]}]" in names
+    lookups = [
         record
         for record in payload["benchmarks"]
-        if record["name"].startswith("test_lookup_arena[")
+        if record["name"].startswith("test_lookup[")
     ]
-    assert len(arena_lookups) == len(TINY.trie_sizes)
-    for record in arena_lookups:
-        assert record["extra_info"]["speedup_vs_object"] > 0
+    assert len(lookups) == len(TINY.trie_sizes)
+    for record in lookups:
         assert record["extra_info"]["register_ops_per_lookup"] > 0
-    arena_inits = [
-        record
-        for record in payload["benchmarks"]
-        if record["name"].startswith("test_init_arena[")
-    ]
-    for record in arena_inits:
-        assert record["extra_info"]["snapshot_bytes"] > 0
-        assert record["extra_info"]["snapshot_shrink_vs_object"] > 0
+    for record in payload["benchmarks"]:
+        if record["name"].startswith("test_init["):
+            assert record["extra_info"]["snapshot_bytes"] > 0
     for record in payload["benchmarks"]:
         # the EXPERIMENTS.md generator must be able to parse every id
         assert _PARAM_RE.search(record["name"]), record["name"]
@@ -276,24 +267,30 @@ def test_run_suite_e15_records_and_equivalence():
             assert record["params"]["workers"] == 2
 
 
-def _arena_series(points):
+def _repair_series(points):
     return [
-        _fake_record(
-            name=f"test_lookup_arena[{n}]", n=n,
-            extra={"speedup_vs_object": speedup},
-        )
+        {
+            **_fake_record(
+                name=f"test_repair_vs_rebuild[{n}]", n=n,
+                extra={"repair_speedup_vs_rebuild": speedup},
+            ),
+            "experiment": "E17",
+            "group": "bench_updates",
+        }
         for n, speedup in points
     ]
 
 
-def test_gate_arena_speedup_is_a_floor():
-    verdicts = check_gate(_fake_payload(_arena_series([(64, 2.1), (128, 1.4)])))
-    arena = [v for v in verdicts if v["metric"] == "extra:speedup_vs_object"]
-    assert arena and all(v["passed"] for v in arena)
+def test_gate_repair_speedup_is_a_floor():
+    metric = "extra:repair_speedup_vs_rebuild"
+    # a floor rule decides from a single point, no shape fit needed
+    verdicts = check_gate(_fake_payload(_repair_series([(64, 3.0)])))
+    repair = [v for v in verdicts if v["metric"] == metric]
+    assert repair and all(v["passed"] for v in repair)
 
-    verdicts = check_gate(_fake_payload(_arena_series([(64, 2.1), (128, 0.9)])))
-    arena = [v for v in verdicts if v["metric"] == "extra:speedup_vs_object"]
-    assert arena and not any(v["passed"] for v in arena)
+    verdicts = check_gate(_fake_payload(_repair_series([(64, 3.0), (128, 1.1)])))
+    repair = [v for v in verdicts if v["metric"] == metric]
+    assert repair and not any(v["passed"] for v in repair)
 
 
 def test_gate_warm_speedup_is_a_floor():
